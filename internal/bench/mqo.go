@@ -57,7 +57,7 @@ func MQOBench() (*Table, error) {
 	var hashMu sync.Mutex
 	var hashErr error
 	check := func(wi int, res *serve.QueryResult) {
-		hh := resultHash(res)
+		hh := res.ResultHash
 		hashMu.Lock()
 		defer hashMu.Unlock()
 		if ref, ok := hashes[wi]; !ok {

@@ -3,9 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -49,36 +46,6 @@ func serveQuery(w serveCase) (serve.Query, error) {
 	return q, nil
 }
 
-// resultHash fingerprints a query result bitwise: variable names, shapes,
-// and the bit pattern of every cell, in deterministic order.
-func resultHash(res *serve.QueryResult) uint64 {
-	h := fnv.New64a()
-	names := make([]string, 0, len(res.Values))
-	for name := range res.Values {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	for _, name := range names {
-		h.Write([]byte(name))
-		m := res.Values[name]
-		put(uint64(m.Rows()))
-		put(uint64(m.Cols()))
-		for i := 0; i < m.Rows(); i++ {
-			for j := 0; j < m.Cols(); j++ {
-				put(math.Float64bits(m.At(i, j)))
-			}
-		}
-	}
-	return h.Sum64()
-}
-
 // ServeBench measures the serving layer: the mixed workload replayed at
 // several concurrency levels, with the cross-query caches on and off. Rows
 // report throughput, latency percentiles, and cache hit rates; the
@@ -96,7 +63,7 @@ func ServeBench() (*Table, error) {
 	var hashErr error
 	var hashMu sync.Mutex
 	check := func(wi int, res *serve.QueryResult) {
-		hh := resultHash(res)
+		hh := res.ResultHash
 		hashMu.Lock()
 		defer hashMu.Unlock()
 		if ref, ok := hashes[wi]; !ok {

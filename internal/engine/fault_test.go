@@ -104,7 +104,7 @@ func TestFaultsNeverChangeResults(t *testing.T) {
 	for _, tc := range cases {
 		ref := compileAndRun(t, tc.alg, tc.ds, opt.Conservative)
 		got := runFaulted(t, tc.alg, tc.ds, opt.Conservative,
-			RunOptions{Faults: stressPlan(7), Checkpoint: true})
+			RunOptions{Faults: stressPlan(7), Recovery: RecoveryPolicy{Kind: RecoverCheckpoint}})
 		if got.Stats.FailedWorkers == 0 {
 			t.Fatalf("%v: no failures fired; test is vacuous", tc.alg)
 		}
@@ -136,18 +136,18 @@ func TestCheckpointReducesRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(checkpoint bool) *Result {
+	run := func(kind RecoveryKind) *Result {
 		res, err := RunWithOptions(context.Background(), compiled, inputsFor(t, algorithms.DFP, "cri2"), trace.New(), RunOptions{
-			Faults:     stressPlan(11),
-			Checkpoint: checkpoint,
+			Faults:   stressPlan(11),
+			Recovery: RecoveryPolicy{Kind: kind},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	plain := run(false)
-	ckpt := run(true)
+	plain := run(RecoverLineage)
+	ckpt := run(RecoverCheckpoint)
 	if plain.Stats.FailedWorkers == 0 || ckpt.Stats.FailedWorkers == 0 {
 		t.Fatalf("failures did not fire in both runs: %d vs %d",
 			plain.Stats.FailedWorkers, ckpt.Stats.FailedWorkers)

@@ -27,6 +27,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"remac/internal/resilience"
 )
 
 // Kind enumerates the fault kinds the model schedules.
@@ -150,13 +152,7 @@ type Config struct {
 // so a chaos storm's fault schedules depend only on (root seed, query
 // index) — never on goroutine scheduling order.
 func DeriveSeed(seed int64, index int) int64 {
-	x := uint64(seed) ^ (uint64(index)+1)*0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return int64(x)
+	return int64(resilience.Mix64(uint64(seed) ^ (uint64(index)+1)*0x9E3779B97F4A7C15))
 }
 
 // Derive returns the config reseeded for the index-th member of a family

@@ -377,12 +377,7 @@ func (g *Gateway) order(q serve.Query) []int {
 	}
 	// Seeded pseudo-random (SplitMix64 over a stream counter): uniform,
 	// deterministic for a given seed and call sequence, and cache-blind.
-	x := g.cfg.Seed + 0x9e3779b97f4a7c15*(g.routeSeq.Add(1))
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
+	x := resilience.Mix64(g.cfg.Seed + 0x9e3779b97f4a7c15*g.routeSeq.Add(1))
 	home := int(x % uint64(len(g.ids)))
 	out := make([]int, len(g.ids))
 	for i := range out {

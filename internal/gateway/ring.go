@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+
+	"remac/internal/resilience"
 )
 
 // ring is a consistent-hash ring over shard indices: each shard owns
@@ -66,13 +68,7 @@ func hashKey(seed uint64, key string) uint64 {
 	}
 	h.Write(b[:])
 	h.Write([]byte(key))
-	x := h.Sum64()
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return resilience.Mix64(h.Sum64())
 }
 
 // order returns the full preference order for key: the home shard (owner

@@ -5,7 +5,66 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"remac/internal/fault"
+	"remac/internal/resilience"
+	"remac/internal/serve"
 )
+
+// TestSplitMix64Golden pins the one SplitMix64 finalizer and every stream
+// built on it to fixed outputs: ring placement, seeded random routing,
+// the wire-fault roll stream and fault sub-stream seeds. Fleet routing
+// under churn depends on these exact values, so any change to the mixer
+// or its call sites must show up here.
+func TestSplitMix64Golden(t *testing.T) {
+	for x, want := range map[uint64]uint64{
+		0:                  0,
+		1:                  0x5692161d100b05e5,
+		0x9e3779b97f4a7c15: 0xe220a8397b1dcdaf,
+		^uint64(0):         0xb4d055fcf2cbbd7b,
+	} {
+		if got := resilience.Mix64(x); got != want {
+			t.Errorf("Mix64(%#x) = %#x, want %#x", x, got, want)
+		}
+	}
+	for key, want := range map[string]uint64{
+		"":           0xae253598b337821e,
+		"cri1@0":     0xb079c56bb23251fc,
+		"zipf-1.2@3": 0x1626c91c82d1c7d7,
+	} {
+		if got := hashKey(7, key); got != want {
+			t.Errorf("hashKey(7, %q) = %#x, want %#x", key, got, want)
+		}
+	}
+	r := newRing(4, 64, 1)
+	for key, want := range map[string][]int{
+		"cri1@0":     {1, 0, 2, 3},
+		"cri2@0":     {1, 0, 2, 3},
+		"red1@2":     {3, 1, 2, 0},
+		"zipf-0.4@0": {2, 1, 0, 3},
+	} {
+		if got := r.order(key); !reflect.DeepEqual(got, want) {
+			t.Errorf("ring order(%q) = %v, want %v", key, got, want)
+		}
+	}
+	g := &Gateway{cfg: Config{Seed: 42, RouteRandom: true}, ids: make([]string, 5)}
+	for i, want := range []int{3, 1, 3, 4, 0, 2} {
+		if got := g.order(serve.Query{})[0]; got != want {
+			t.Errorf("random route %d: home %d, want %d", i, got, want)
+		}
+	}
+	nf := NewNetFault(nil, NetFaultConfig{Seed: 9})
+	for i, want := range []float64{0.6823627349789958, 0.7506948929582787, 0.2653224405991833} {
+		if got := nf.next(); got != want {
+			t.Errorf("netfault roll %d = %v, want %v", i, got, want)
+		}
+	}
+	for index, want := range map[int]int64{0: 1635312068028924514, 1: -4569129087685675272, 1000: -4743792191840799431} {
+		if got := fault.DeriveSeed(5, index); got != want {
+			t.Errorf("DeriveSeed(5, %d) = %d, want %d", index, got, want)
+		}
+	}
+}
 
 // TestRingOrderDeterministicAndComplete: a preference order is a
 // permutation of all shards, identical across rings built with the same

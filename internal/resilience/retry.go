@@ -60,7 +60,7 @@ func (p RetryPolicy) Backoff(queryID uint64, attempt int) time.Duration {
 	if d > p.MaxBackoff {
 		d = p.MaxBackoff
 	}
-	u := mix64(uint64(p.Seed) ^ queryID*0x9E3779B97F4A7C15 ^ uint64(attempt)*0xBF58476D1CE4E5B9)
+	u := Mix64(uint64(p.Seed) ^ queryID*0x9E3779B97F4A7C15 ^ uint64(attempt)*0xBF58476D1CE4E5B9)
 	frac := 0.5 + 0.5*float64(u>>11)/(1<<53)
 	return time.Duration(float64(d) * frac)
 }
@@ -120,9 +120,10 @@ func (h HedgePolicy) Delay(quantileSec float64) time.Duration {
 	return d
 }
 
-// mix64 is the SplitMix64 finalizer: a cheap, well-distributed hash used
-// for jitter and for deriving per-query fault sub-streams.
-func mix64(x uint64) uint64 {
+// Mix64 is the SplitMix64 finalizer: a cheap, well-distributed hash. It is
+// the one mixer behind retry jitter, per-query fault sub-streams, gateway
+// ring placement and every seeded SplitMix64 stream in the serving tier.
+func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27

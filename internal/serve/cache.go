@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"remac/internal/engine"
 	"remac/internal/lang"
@@ -56,12 +54,6 @@ func (s *Server) planKey(q Query, cfg opt.Config) (string, error) {
 // metaSigCap bounds the sparsity-signature memo (sparsitySig).
 const metaSigCap = 4096
 
-// metaSig is one memoized per-matrix sparsity bucket.
-type metaSig struct {
-	m   *matrix.Matrix
-	sig string
-}
-
 // sparsitySig returns a matrix's bucketed sparsity, memoized by identity:
 // matrices are immutable once handed to the engine, and counting nonzeros
 // of a dense matrix is O(cells) — too slow for the plan-cache hit path.
@@ -69,23 +61,11 @@ type metaSig struct {
 // only the coldest entry, so the hot inputs of live sessions keep their
 // memoized signature instead of being rescanned after a wholesale flush.
 func (s *Server) sparsitySig(m *matrix.Matrix) string {
-	s.metaMu.Lock()
-	defer s.metaMu.Unlock()
-	if s.metaSigs == nil {
-		s.metaSigs = map[*matrix.Matrix]*list.Element{}
-		s.metaLRU = list.New()
-	}
-	if el, ok := s.metaSigs[m]; ok {
-		s.metaLRU.MoveToFront(el)
-		return el.Value.(*metaSig).sig
+	if sig, ok := s.metaSigs.get(m); ok {
+		return sig
 	}
 	sig := sparsityBucket(m.Sparsity())
-	s.metaSigs[m] = s.metaLRU.PushFront(&metaSig{m: m, sig: sig})
-	for s.metaLRU.Len() > metaSigCap {
-		back := s.metaLRU.Back()
-		s.metaLRU.Remove(back)
-		delete(s.metaSigs, back.Value.(*metaSig).m)
-	}
+	s.metaSigs.put(m, sig)
 	return sig
 }
 
@@ -99,180 +79,73 @@ func sparsityBucket(s float64) string {
 	return strconv.FormatFloat(s, 'e', 1, 64)
 }
 
-// planEntry is one cached (or in-flight) compilation.
-type planEntry struct {
-	key   string
-	c     *opt.Compiled
-	err   error
-	ready chan struct{}
-}
-
 // planCache is an LRU of compiled plans with in-flight coalescing: one
 // compilation per key runs at a time, and concurrent requests for the same
 // key wait for it rather than duplicating the search.
 type planCache struct {
-	mu       sync.Mutex
-	cap      int
-	ll       *list.List // front = most recent; elements hold *planEntry
-	items    map[string]*list.Element
-	inflight map[string]*planEntry
+	*keyed[string, *opt.Compiled]
 }
 
 func newPlanCache(capacity int) *planCache {
-	return &planCache{
-		cap:      capacity,
-		ll:       list.New(),
-		items:    map[string]*list.Element{},
-		inflight: map[string]*planEntry{},
-	}
+	return &planCache{newKeyed[string, *opt.Compiled](int64(capacity), nil)}
 }
 
 // getOrCompile returns the plan for key, compiling it at most once across
 // concurrent callers. hit reports whether this caller avoided compiling
 // itself (cached entry or a successful concurrent leader).
-func (p *planCache) getOrCompile(ctx context.Context, key string, compile func() (*opt.Compiled, error)) (c *opt.Compiled, hit bool, err error) {
-	var e *planEntry
-	for e == nil {
-		p.mu.Lock()
-		if el, ok := p.items[key]; ok {
-			p.ll.MoveToFront(el)
-			c = el.Value.(*planEntry).c
-			p.mu.Unlock()
-			return c, true, nil
+func (p *planCache) getOrCompile(ctx context.Context, key string, compile func() (*opt.Compiled, error)) (*opt.Compiled, bool, error) {
+	for {
+		e, role := p.claim(key)
+		if role == claimLead {
+			c, err := compile()
+			p.settle(e, c, err)
+			return c, false, err
 		}
-		if w, ok := p.inflight[key]; ok {
-			p.mu.Unlock()
-			select {
-			case <-w.ready:
-			case <-ctx.Done():
-				return nil, false, opt.Canceled("serve: plan wait", ctx.Err())
-			}
-			if w.err == nil {
-				return w.c, true, nil
-			}
-			// The leader failed; its error may be specific to its context
-			// (e.g. a deadline), so don't inherit it. Loop instead: the
-			// first waiter back through the lock promotes itself to the new
-			// in-flight leader and its success is cached, while the rest
-			// coalesce behind it — a failed leader costs the group one
-			// recompile, not one per waiter.
-			continue
+		if err := e.wait(ctx); err != nil {
+			return nil, false, opt.Canceled("serve: plan wait", err)
 		}
-		e = &planEntry{key: key, ready: make(chan struct{})}
-		p.inflight[key] = e
-		p.mu.Unlock()
+		if e.err == nil {
+			return e.val, true, nil
+		}
+		// The leader failed; its error may be specific to its context (e.g.
+		// a deadline), so don't inherit it. Loop instead: the failed
+		// production left no entry, so the first waiter back claims the key
+		// as the new leader and its success is cached, while the rest
+		// coalesce behind it — a failed leader costs the group one
+		// recompile, not one per waiter.
 	}
-
-	e.c, e.err = compile()
-
-	p.mu.Lock()
-	delete(p.inflight, key)
-	if e.err == nil {
-		p.items[key] = p.ll.PushFront(e)
-		for p.ll.Len() > p.cap {
-			back := p.ll.Back()
-			p.ll.Remove(back)
-			delete(p.items, back.Value.(*planEntry).key)
-		}
-	}
-	p.mu.Unlock()
-	close(e.ready)
-	return e.c, false, e.err
 }
 
 func (p *planCache) len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ll.Len()
-}
-
-// interEntry is one cached loop-constant intermediate.
-type interEntry struct {
-	key   string
-	v     engine.Intermediate
-	bytes int64
+	n, _ := p.usage()
+	return n
 }
 
 // interCache is a byte-budgeted LRU of materialized LSE intermediates.
 // Entries are charged at the value's modelled virtual-scale size — the
 // cache stands in for cluster memory, so its budget is accounted in the
-// same units the simulated cluster's cost model uses.
+// same units the simulated cluster's cost model uses. A re-offer of a key
+// refreshes its charge: the producer's sparsity may settle differently.
 type interCache struct {
-	mu     sync.Mutex
-	budget int64
-	used   int64
-	ll     *list.List // front = most recent; elements hold *interEntry
-	items  map[string]*list.Element
+	*keyed[string, engine.Intermediate]
 }
 
 func newInterCache(budget int64) *interCache {
-	return &interCache{budget: budget, ll: list.New(), items: map[string]*list.Element{}}
-}
-
-func (c *interCache) get(key string) (engine.Intermediate, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return engine.Intermediate{}, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*interEntry).v, true
+	return &interCache{newKeyed[string, engine.Intermediate](budget, func(v engine.Intermediate) int64 {
+		return matrix.SizeBytesFor(int(v.VRows), int(v.VCols), v.Data.Sparsity())
+	})}
 }
 
 func (c *interCache) put(key string, v engine.Intermediate) {
-	if v.Data == nil {
-		return
-	}
-	bytes := matrix.SizeBytesFor(int(v.VRows), int(v.VCols), v.Data.Sparsity())
-	if bytes > c.budget {
-		return // larger than the whole budget: not cacheable
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		// Refresh the value and its byte accounting: a re-offer can carry a
-		// different modelled size (the producer's sparsity settled
-		// differently), and keeping the old charge would drift used away
-		// from the sum of resident entries.
-		e := el.Value.(*interEntry)
-		c.used += bytes - e.bytes
-		e.v, e.bytes = v, bytes
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[key] = c.ll.PushFront(&interEntry{key: key, v: v, bytes: bytes})
-		c.used += bytes
-	}
-	for c.used > c.budget {
-		back := c.ll.Back()
-		e := back.Value.(*interEntry)
-		c.ll.Remove(back)
-		delete(c.items, e.key)
-		c.used -= e.bytes
+	if v.Data != nil {
+		c.keyed.put(key, v)
 	}
 }
 
 // dropNamespace evicts every entry whose key starts with prefix (dataset
 // invalidation).
 func (c *interCache) dropNamespace(prefix string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*interEntry)
-		if strings.HasPrefix(e.key, prefix) {
-			c.ll.Remove(el)
-			delete(c.items, e.key)
-			c.used -= e.bytes
-		}
-		el = next
-	}
-}
-
-func (c *interCache) usage() (entries int, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len(), c.used
+	c.removeIf(func(key string) bool { return strings.HasPrefix(key, prefix) })
 }
 
 // view scopes the cache to one (dataset version, cluster) namespace and

@@ -53,8 +53,8 @@ func (b *batcher) assign(now time.Time) (*mqoBatch, bool) {
 	defer b.mu.Unlock()
 	if b.cur == nil || now.After(b.until) {
 		b.cur = &mqoBatch{
-			entries: map[string]*sharedEntry{},
-			index:   map[string]int{},
+			producers: newKeyed[string, sharedValue](0, nil),
+			index:     map[string]int{},
 		}
 		b.until = now.Add(b.window)
 		return b.cur, true
@@ -63,41 +63,45 @@ func (b *batcher) assign(now time.Time) (*mqoBatch, bool) {
 }
 
 // mqoBatch is one window's worth of queries and their shared state: the
-// producer registry (entries) and the cross-query subexpression index
-// (how many member sessions announced each shareable key).
+// producer registry and the cross-query subexpression index (how many
+// member sessions announced each shareable key, under mu).
+//
+// The registry is unbounded — it lives exactly as long as its batch. A
+// claimed key is produced by its leader session, which never blocks while
+// its claim is unsettled (that is what makes waiting deadlock-free).
+// Published values stay for the batch's lifetime; a failed production
+// leaves no entry, so a later acquirer re-elects.
 type mqoBatch struct {
-	mu      sync.Mutex
-	entries map[string]*sharedEntry
-	index   map[string]int
+	producers *keyed[string, sharedValue]
+
+	mu    sync.Mutex
+	index map[string]int
 }
 
-// sharedEntry is one claimed producer key. Unsettled entries have an open
-// ready channel and a live leader session between Acquire and Publish/Fail
-// (the leader never blocks while unsettled, which is what makes waiting on
-// ready deadlock-free). Published entries stay in the registry for the
-// batch's lifetime; failed entries are removed so a later acquirer can
-// re-elect.
-type sharedEntry struct {
-	ready chan struct{}
-	v     engine.Intermediate
-	flop  float64
-	err   error
+// sharedValue is one published producer: the materialized value and the
+// charged FLOP one production cost (adopters account it as savings).
+type sharedValue struct {
+	v    engine.Intermediate
+	flop float64
 }
+
+// sharedClaim is an unsettled producer claim held by a session.
+type sharedClaim = *keyedEntry[string, sharedValue]
 
 // session opens one engine run's view of the batch, scoped to the
 // intermediate-cache namespace (dataset@version|clusterSig): only runs in
 // the same namespace can observe each other's values.
 func (b *mqoBatch) session(namespace string) *mqoSession {
-	return &mqoSession{b: b, ns: namespace, leading: map[string]*sharedEntry{}}
+	return &mqoSession{b: b, ns: namespace, leading: map[string]sharedClaim{}}
 }
 
 // mqoSession implements engine.SharedProducers for a single run. It is
-// used by that run's goroutine only; the batch mutex covers the shared
-// registry.
+// used by that run's goroutine only; the registry synchronizes across
+// sessions.
 type mqoSession struct {
 	b       *mqoBatch
 	ns      string
-	leading map[string]*sharedEntry // unsettled claims held by this run
+	leading map[string]sharedClaim // unsettled claims held by this run
 
 	hits      int     // producers adopted from siblings
 	led       int     // producers executed on the batch's behalf
@@ -131,47 +135,37 @@ func (s *mqoSession) announce(manifest []opt.SharedSubplan) int {
 // already leads an unsettled key, so it computes locally instead of
 // blocking — a session that never blocks while leading cannot take part in
 // a wait cycle). A leader that failed with cancellation is replaced by
-// promoting the first waiter back through the lock, mirroring the plan
-// cache's failure path; any other leader error propagates typed to every
-// waiter.
+// promoting the first waiter back through the registry, mirroring the
+// plan cache's failure path; any other leader error propagates typed to
+// every waiter.
 func (s *mqoSession) Acquire(ctx context.Context, key string) (engine.Intermediate, engine.SharedRole, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	k := s.ns + "|" + key
 	for {
-		s.b.mu.Lock()
-		e, ok := s.b.entries[k]
-		if !ok {
-			e = &sharedEntry{ready: make(chan struct{})}
-			s.b.entries[k] = e
+		e, role := s.b.producers.claim(k)
+		switch role {
+		case claimLead:
 			s.leading[k] = e
-			s.b.mu.Unlock()
 			return engine.Intermediate{}, engine.SharedLead, nil
-		}
-		holding := len(s.leading) > 0
-		s.b.mu.Unlock()
-		select {
-		case <-e.ready:
-		default:
-			if holding {
+		case claimWait:
+			if len(s.leading) > 0 {
 				return engine.Intermediate{}, engine.SharedSolo, nil
 			}
-			select {
-			case <-e.ready:
-			case <-ctx.Done():
-				return engine.Intermediate{}, 0, fmt.Errorf("serve: shared-producer wait: %w (%v)", engine.ErrCanceled, ctx.Err())
+			if err := e.wait(ctx); err != nil {
+				return engine.Intermediate{}, 0, fmt.Errorf("serve: shared-producer wait: %w (%v)", engine.ErrCanceled, err)
 			}
 		}
 		switch {
 		case e.err == nil:
 			s.hits++
-			s.flopSaved += e.flop
-			return e.v, engine.SharedHit, nil
+			s.flopSaved += e.val.flop
+			return e.val.v, engine.SharedHit, nil
 		case errors.Is(e.err, engine.ErrCanceled):
 			// The leader's own context ended — not this consumer's problem.
-			// Loop: the failed entry was removed, so the first waiter back
-			// promotes itself to the new leader.
+			// Loop: the failed production left no entry, so the first
+			// waiter back promotes itself to the new leader.
 			continue
 		default:
 			return engine.Intermediate{}, 0, fmt.Errorf("serve: shared producer %q: %w", key, e.err)
@@ -180,42 +174,28 @@ func (s *mqoSession) Acquire(ctx context.Context, key string) (engine.Intermedia
 }
 
 // Publish implements engine.SharedProducers: the leader settles its claim
-// with the materialized value and the charged FLOP one production cost
-// (adopters account it as savings).
+// with the materialized value and the charged FLOP one production cost.
 func (s *mqoSession) Publish(key string, v engine.Intermediate, flop float64) {
-	k := s.ns + "|" + key
-	s.b.mu.Lock()
-	e := s.leading[k]
-	delete(s.leading, k)
-	if e != nil {
-		e.v, e.flop = v, flop
-	}
-	s.b.mu.Unlock()
-	if e != nil {
+	if e := s.release(s.ns + "|" + key); e != nil {
 		s.led++
-		close(e.ready)
+		s.b.producers.settle(e, sharedValue{v: v, flop: flop}, nil)
 	}
 }
 
 // Fail implements engine.SharedProducers: the leader settles its claim
-// with the production error. The entry is removed from the registry so a
-// later acquirer re-elects rather than inheriting a stale failure.
+// with the production error, leaving no entry behind so a later acquirer
+// re-elects rather than inheriting a stale failure.
 func (s *mqoSession) Fail(key string, err error) {
-	s.fail(s.ns+"|"+key, err)
+	if e := s.release(s.ns + "|" + key); e != nil {
+		s.b.producers.settle(e, sharedValue{}, err)
+	}
 }
 
-func (s *mqoSession) fail(k string, err error) {
-	s.b.mu.Lock()
+// release removes and returns this session's unsettled claim on k.
+func (s *mqoSession) release(k string) sharedClaim {
 	e := s.leading[k]
 	delete(s.leading, k)
-	if e != nil {
-		e.err = err
-		delete(s.b.entries, k)
-	}
-	s.b.mu.Unlock()
-	if e != nil {
-		close(e.ready)
-	}
+	return e
 }
 
 // close settles every claim the session still holds when its run unwinds
@@ -233,14 +213,12 @@ func (s *mqoSession) close(runErr error) int {
 	if runErr != nil {
 		err = fmt.Errorf("%w (producing query failed: %v)", errSharedAbandoned, runErr)
 	}
-	keys := make([]string, 0, len(s.leading))
-	for k := range s.leading {
-		keys = append(keys, k)
+	n := len(s.leading)
+	for k, e := range s.leading {
+		delete(s.leading, k)
+		s.b.producers.settle(e, sharedValue{}, err)
 	}
-	for _, k := range keys {
-		s.fail(k, err)
-	}
-	return len(keys)
+	return n
 }
 
 // shareEligible gates a query into its batch's shared-producer

@@ -30,7 +30,6 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -182,10 +181,6 @@ type Query struct {
 	// carry parity-decode float residue, which must not propagate into
 	// sibling queries that expect bitwise-reproducible values.
 	Recovery engine.RecoveryPolicy
-	// Checkpoint is the legacy toggle for Recovery checkpointing, honored
-	// only when Recovery is the zero policy (see
-	// engine.RunOptions.Checkpoint).
-	Checkpoint bool
 	// Verify selects the integrity verification mode for this query's run
 	// (see engine.RunOptions.Verify): detected corruptions repair through
 	// lineage, unrepairable ones fail with an Integrity-class error.
@@ -387,9 +382,7 @@ type Server struct {
 
 	// metaSigs memoizes per-matrix sparsity buckets for plan-key
 	// computation, LRU-bounded at metaSigCap entries (see sparsitySig).
-	metaMu   sync.Mutex
-	metaSigs map[*matrix.Matrix]*list.Element
-	metaLRU  *list.List
+	metaSigs *keyed[*matrix.Matrix, string]
 
 	plans   *planCache
 	inter   *interCache
@@ -405,6 +398,7 @@ func New(cfg Config) *Server {
 		queue:    make(chan *job, cfg.QueueDepth),
 		metrics:  newMetrics(),
 		versions: map[string]int64{},
+		metaSigs: newKeyed[*matrix.Matrix, string](metaSigCap, nil),
 	}
 	if !cfg.NoBreaker {
 		s.breaker = resilience.NewBreaker(cfg.Breaker)
@@ -474,22 +468,20 @@ func (s *Server) Do(ctx context.Context, q Query) (*QueryResult, error) {
 	if s.idem == nil || q.IdempotencyKey == "" {
 		return s.submit(ctx, q)
 	}
-	e, role := s.idem.begin(q.IdempotencyKey)
+	e, role := s.idem.claim(q.IdempotencyKey)
 	switch role {
-	case idemReplay:
+	case claimHit:
 		s.metrics.idemReplayed()
-		return replayOf(e), nil
-	case idemWaiter:
+		return replayOf(e.val), nil
+	case claimWait:
 		s.metrics.idemCoalesced()
-		select {
-		case <-e.done:
-			if e.err != nil {
-				return nil, e.err
-			}
-			return replayOf(e), nil
-		case <-ctx.Done():
-			return nil, canceledErr(s.nextID.Add(1), "idem-wait", ctx.Err())
+		if err := e.wait(ctx); err != nil {
+			return nil, canceledErr(s.nextID.Add(1), "idem-wait", err)
 		}
+		if e.err != nil {
+			return nil, e.err
+		}
+		return replayOf(e.val), nil
 	}
 	res, err := s.submit(ctx, q)
 	s.idem.settle(e, res, err)
@@ -888,7 +880,6 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 		MaxIter:       q.MaxIterations,
 		Faults:        q.Faults,
 		Recovery:      q.Recovery,
-		Checkpoint:    q.Checkpoint,
 		Intermediates: inter,
 		Shared:        shared,
 		Verify:        q.Verify,
@@ -1038,7 +1029,7 @@ func (s *Server) Metrics() Snapshot {
 	snap := s.metrics.snapshot()
 	snap.Shard = s.cfg.ShardID
 	if s.idem != nil {
-		snap.IdemEntries = s.idem.entries()
+		snap.IdemEntries, _ = s.idem.usage()
 	}
 	if s.plans != nil {
 		snap.PlanEntries = s.plans.len()

@@ -161,6 +161,8 @@ type Program struct {
 }
 
 // Compile parses, optimizes and plans a script against the given inputs.
+// An unknown non-empty Strategy, Estimator or Combiner fails with
+// *UnknownNameError; empty ones select the defaults.
 func Compile(script string, inputs map[string]Input, cfg Config) (*Program, error) {
 	prog, err := lang.Parse(script)
 	if err != nil {
@@ -176,12 +178,15 @@ func Compile(script string, inputs map[string]Input, cfg Config) (*Program, erro
 	if err := cfg.Cluster.Validate(); err != nil {
 		return nil, err
 	}
-	icfg := opt.Config{
-		Strategy:   strategyInternal(cfg.Strategy),
-		Estimator:  estimatorInternal(cfg.Estimator),
-		Combiner:   combinerInternal(cfg.Combiner),
-		Cluster:    cfg.Cluster.internal(),
-		Iterations: cfg.Iterations,
+	icfg := opt.Config{Cluster: cfg.Cluster.internal(), Iterations: cfg.Iterations}
+	if icfg.Strategy, err = opt.ParseStrategy(string(cfg.Strategy)); err != nil {
+		return nil, err
+	}
+	if icfg.Estimator, err = opt.ParseEstimator(string(cfg.Estimator)); err != nil {
+		return nil, err
+	}
+	if icfg.Combiner, err = opt.ParseCombiner(string(cfg.Combiner)); err != nil {
+		return nil, err
 	}
 	if icfg.Iterations == 0 {
 		icfg.Iterations = 15
@@ -196,45 +201,6 @@ func Compile(script string, inputs map[string]Input, cfg Config) (*Program, erro
 		return nil, err
 	}
 	return &Program{compiled: compiled, inputs: inputs}, nil
-}
-
-func strategyInternal(s Strategy) opt.Strategy {
-	switch s {
-	case NoElimination:
-		return opt.NoElimination
-	case Explicit:
-		return opt.Explicit
-	case Conservative:
-		return opt.Conservative
-	case Aggressive:
-		return opt.Aggressive
-	case Automatic:
-		return opt.Automatic
-	default:
-		return opt.Adaptive
-	}
-}
-
-func estimatorInternal(e Estimator) sparsity.Estimator {
-	switch e {
-	case MD:
-		return sparsity.Metadata{}
-	case Sample:
-		return sparsity.Sampling{Fraction: 0.1}
-	default:
-		return sparsity.MNC{}
-	}
-}
-
-func combinerInternal(c Combiner) opt.Combiner {
-	switch c {
-	case EnumDFS:
-		return opt.EnumDFS
-	case EnumBFS:
-		return opt.EnumBFS
-	default:
-		return opt.DP
-	}
 }
 
 // OptionInfo describes one discovered elimination option.
@@ -349,9 +315,6 @@ type RunOptions struct {
 	// blocks are encoded at honest cost and erased blocks decode with no
 	// recomputation).
 	Recovery string
-	// Checkpoint is the legacy toggle for Recovery: "checkpoint", honored
-	// only when Recovery is unset.
-	Checkpoint bool
 	// MaxIterations overrides the engine's runaway-loop cap when positive.
 	MaxIterations int
 	// Verify selects integrity verification: "off" (or ""), "digest" (block
@@ -474,6 +437,10 @@ var ErrCorruption = integrity.ErrCorruption
 // ErrNonFinite matches (via errors.Is) a run stopped by the NaNGuard scan.
 var ErrNonFinite = integrity.ErrNonFinite
 
+// UnknownNameError is Compile's error for a Strategy, Estimator or Combiner
+// name it does not know.
+type UnknownNameError = opt.UnknownNameError
+
 // RunTraced executes the program like Run and additionally collects a
 // structured trace: one span per charged operator, grouped under
 // statement and iteration boundary spans.
@@ -514,12 +481,11 @@ func (p *Program) run(ctx context.Context, rec *trace.Recorder, opts RunOptions)
 		return nil, err
 	}
 	res, err := engine.RunWithOptions(ctx, p.compiled, ins, rec, engine.RunOptions{
-		Faults:     plan,
-		Recovery:   recovery,
-		Checkpoint: opts.Checkpoint,
-		MaxIter:    opts.MaxIterations,
-		Verify:     verify,
-		NaNGuard:   guard,
+		Faults:   plan,
+		Recovery: recovery,
+		MaxIter:  opts.MaxIterations,
+		Verify:   verify,
+		NaNGuard: guard,
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package remac_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -115,6 +116,31 @@ func TestCompileErrors(t *testing.T) {
 	}
 	if _, err := remac.Compile("x = 1", map[string]remac.Input{"A": {}}, remac.Config{}); err == nil {
 		t.Error("nil input data not reported")
+	}
+}
+
+// TestCompileRejectsUnknownNames: an unknown Strategy, Estimator or
+// Combiner fails typed instead of silently compiling with the default,
+// while the empty name still selects it.
+func TestCompileRejectsUnknownNames(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  remac.Config
+		kind string
+	}{
+		{remac.Config{Strategy: "bogus"}, "strategy"},
+		{remac.Config{Estimator: "mnc"}, "estimator"},
+		{remac.Config{Combiner: "Enum"}, "combiner"},
+	} {
+		_, err := remac.Compile(apiScript, apiInputs(), tc.cfg)
+		var ne *remac.UnknownNameError
+		if !errors.As(err, &ne) || ne.Kind != tc.kind {
+			t.Errorf("%+v: err = %v, want an unknown %s error", tc.cfg, err, tc.kind)
+		}
+	}
+	if _, err := remac.Compile(apiScript, apiInputs(), remac.Config{
+		Strategy: remac.Conservative, Estimator: remac.MD, Combiner: remac.EnumBFS, Iterations: 5,
+	}); err != nil {
+		t.Errorf("known names rejected: %v", err)
 	}
 }
 
